@@ -4,7 +4,9 @@
 //!
 //! 1. the bounded exhaustive explorer over the full scenario suites at
 //!    `n = 2, 3, 4`, writing any counterexample to
-//!    `target/mc/<scenario>.itf.json` and exiting non-zero;
+//!    `target/mc/<scenario>.itf.json` and exiting non-zero, and failing
+//!    when a suite's `(states, runs, max depth)` totals differ from the
+//!    pinned ones (a changed search order, pruning rule or encoding);
 //! 2. the mutation smoke test — every seeded mutant must be caught and
 //!    the unmutated control must pass (a checker that stops rejecting
 //!    mutants fails the build, not just the mutant);
@@ -37,11 +39,18 @@ fn write_counterexample(name: &str, trace: &Trace) -> String {
     path.display().to_string()
 }
 
+/// Exact explorer totals `(n, states, runs, max depth)` of each suite.
+const PINNED_TOTALS: [(usize, usize, usize, usize); 3] = [
+    (2, 6_016, 2_463, 8),
+    (3, 32_576, 20_480, 12),
+    (4, 379_520, 294_912, 17),
+];
+
 fn main() {
     let mut failed = false;
 
     // Stage 1: bounded exhaustive exploration, n = 2..=4.
-    for n in 2..=4usize {
+    for (n, pinned_states, pinned_runs, pinned_depth) in PINNED_TOTALS {
         let start = Instant::now();
         let mut runs = 0usize;
         let mut states = 0usize;
@@ -63,6 +72,12 @@ fn main() {
              max depth {max_depth}, {:.2}s",
             start.elapsed().as_secs_f64()
         );
+        if !failed && (states, runs, max_depth) != (pinned_states, pinned_runs, pinned_depth) {
+            fail(&format!(
+                "explore n={n} totals differ from the pinned {pinned_states} states, \
+                 {pinned_runs} runs, max depth {pinned_depth}"
+            ));
+        }
     }
     if failed {
         fail("explorer found invariant violations (traces in target/mc/)");

@@ -20,23 +20,33 @@
 //! decision *at or past the trail's end* are pushed as new trails
 //! (alternatives before the trail's end were already scheduled when a
 //! shorter prefix of this path first ran). Re-execution trades CPU for
-//! memory: no cloned model states are kept, only trails.
+//! memory: no model states are kept, only trails and the time-0 model,
+//! which is built once per scenario (so `make` runs once per node) and
+//! cloned at the start of every run.
 //!
 //! # Seen-state pruning
 //!
 //! After each instant the model's canonical encoding ([`Model::encode`])
-//! is hashed twice with independent 64-bit FNV-1a variants and inserted
-//! into a seen set. A run may stop early at a previously-seen state —
-//! different delay paths frequently converge (e.g. once every in-flight
-//! message is delivered and the queue shape matches) — but **only once
-//! it has made at least one free decision** (`decisions ≥ forced.len()`):
-//! up to that point the run is merely replaying a prefix whose
-//! alternatives still need scheduling from *this* trail's extensions.
-//! Pruning at a seen state is sound because the encoding captures the
-//! complete dynamic state (nodes, timers, peers, edges, cursors, pending
-//! queue): identical encodings have identical futures given identical
-//! remaining decisions, and those futures were enumerated from the first
-//! visit.
+//! is hashed in one pass by two independent 64-bit FNV-1a lanes and
+//! inserted into a seen set. A run may stop early at a previously-seen
+//! state — different delay paths frequently converge (e.g. once every
+//! in-flight message is delivered and the queue shape matches) — but
+//! **only once it has made at least one free decision**
+//! (`decisions ≥ forced.len()`): up to that point the run is merely
+//! replaying a prefix whose alternatives still need scheduling from
+//! *this* trail's extensions. Pruning at a seen state is sound because
+//! the encoding captures the complete dynamic state (nodes, timers,
+//! peers, edges, cursors, pending queue): identical encodings have
+//! identical futures given identical remaining decisions, and those
+//! futures were enumerated from the first visit.
+//!
+//! A replayed prefix is stepped and checked again but **not encoded or
+//! hashed again**. The run that pushed this trail made decision
+//! `forced.len() − 1` after every instant boundary of the prefix, so it
+//! did not stop at any of them; each such state was therefore already
+//! inserted, by that run or (inside its own forced prefix) by one of its
+//! ancestors, down to the root run, whose prefix is empty. Debug builds
+//! recompute the key on the prefix and assert that it is in the seen set.
 //!
 //! Every instant of every run is also fed to the [`Oracle`]; the first
 //! violation aborts the search and is packaged as an ITF trace.
@@ -67,25 +77,41 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// 64-bit digests independent enough for a 128-bit effective key.
 const FNV_OFFSET_ALT: u64 = 0x6c62_272e_07bb_0142;
 
-fn fnv1a(basis: u64, words: &[u64]) -> u64 {
-    let mut h = basis;
+/// Both FNV-1a lanes over the little-endian bytes of `words`, in one
+/// pass: each lane's key is bit-identical to a separate FNV-1a pass from
+/// its basis, but the two multiply chains overlap.
+fn fnv1a_pair(words: &[u64]) -> (u64, u64) {
+    let (mut a, mut b) = (FNV_OFFSET, FNV_OFFSET_ALT);
     for &w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
+        for byte in w.to_le_bytes() {
+            a = (a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+            b = (b ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
         }
     }
-    h
+    (a, b)
 }
 
-/// Exhaustively explores `sc`, building each run's nodes with `make`.
+/// The seen-set key of `m`'s canonical encoding (`scratch` is reused).
+fn state_key<N: ModelNode>(m: &Model<N>, scratch: &mut Vec<u64>) -> (u64, u64) {
+    scratch.clear();
+    m.encode(scratch);
+    fnv1a_pair(scratch)
+}
+
+/// Exhaustively explores `sc`, building the time-0 nodes with `make`.
+///
+/// `make` runs once per node: every run starts from a clone of the one
+/// time-0 model. A run replays its trail's prefix, stepping the model and
+/// checking every instant with the [`Oracle`], but hashes only the states
+/// past the prefix (see the module docs).
 ///
 /// `max_runs` is a safety valve against mis-sized scenarios: the search
-/// panics if the trail stack would exceed it, rather than burning CI
-/// minutes silently (a correctly-sized suite stays well under it).
+/// panics once it would execute more than `max_runs` runs, rather than
+/// burning CI minutes silently (a correctly-sized suite stays well under
+/// it).
 pub fn explore<N: ModelNode>(
     sc: &Scenario,
-    mut make: impl FnMut(usize) -> N,
+    make: impl FnMut(usize) -> N,
     max_runs: usize,
 ) -> Report {
     sc.validate();
@@ -98,6 +124,7 @@ pub fn explore<N: ModelNode>(
         max_depth: 0,
         violation: None,
     };
+    let root = Model::new(sc, make);
     let mut scratch = Vec::new();
     while let Some(forced) = stack.pop() {
         report.runs += 1;
@@ -108,20 +135,23 @@ pub fn explore<N: ModelNode>(
             max_runs
         );
         let forced_len = forced.len();
-        let mut model = Model::new(sc, &mut make);
+        let mut model = root.clone();
         let mut decider = DelayDecider::trail(forced);
         let mut oracle = Oracle::new(sc.algo.n);
         model.run(sc.horizon, &mut decider, |m, decisions| {
             if !oracle.check(m) {
                 return false;
             }
-            scratch.clear();
-            m.encode(&mut scratch);
-            let key = (fnv1a(FNV_OFFSET, &scratch), fnv1a(FNV_OFFSET_ALT, &scratch));
-            let fresh = seen.insert(key);
-            // Prune only once this run has decided something the trail
-            // did not force — see module docs for the soundness argument.
-            fresh || decisions < forced_len
+            // A replayed prefix never prunes, and its states are already
+            // in the seen set — see module docs for both arguments.
+            if decisions < forced_len {
+                debug_assert!(
+                    seen.contains(&state_key(m, &mut scratch)),
+                    "replayed prefix state was never inserted"
+                );
+                return true;
+            }
+            seen.insert(state_key(m, &mut scratch))
         });
         let DelayDecider::Trail { forced, record } = decider else {
             unreachable!("explore uses trail deciders");
@@ -131,7 +161,7 @@ pub fn explore<N: ModelNode>(
             // Re-run the violating path once more, collecting snapshots
             // for the exported trace (keeps the hot loop snapshot-free).
             let choices: Vec<usize> = record.iter().map(|&(_, c)| c).collect();
-            let (trace, _) = trace_of_trail(sc, &mut make, choices);
+            let (trace, _) = trace_from(sc, root.clone(), choices);
             report.violation = Some((trace, v.to_string()));
             return report;
         }
@@ -155,11 +185,20 @@ pub fn explore<N: ModelNode>(
 /// used to produce *healthy* traces for the replay round-trip tests.
 pub fn trace_of_trail<N: ModelNode>(
     sc: &Scenario,
-    mut make: impl FnMut(usize) -> N,
+    make: impl FnMut(usize) -> N,
     trail: Vec<usize>,
 ) -> (Trace, Oracle) {
     sc.validate();
-    let mut model = Model::new(sc, &mut make);
+    trace_from(sc, Model::new(sc, make), trail)
+}
+
+/// Runs `model` (the time-0 state of `sc`) along `trail` and exports the
+/// trace.
+fn trace_from<N: ModelNode>(
+    sc: &Scenario,
+    mut model: Model<N>,
+    trail: Vec<usize>,
+) -> (Trace, Oracle) {
     let mut decider = DelayDecider::trail(trail);
     let mut oracle = Oracle::new(sc.algo.n);
     let mut states = Vec::new();

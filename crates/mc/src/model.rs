@@ -310,14 +310,10 @@ struct QueuedEv {
     payload: Payload,
 }
 
-impl QueuedEv {
-    fn key(&self) -> (Time, u8, u64) {
-        (self.time, self.payload.class(), self.seq)
-    }
-}
-
 /// The model's event queue: same total order as the engine's wheel —
-/// `(time, class, seq)` with `seq` assigned at push.
+/// `(time, class, seq)` with `seq` assigned at push. `events` is kept in
+/// that order, so the earliest instant is a prefix and
+/// [`Model::encode`] reads the queue without sorting it.
 #[derive(Clone, Debug, Default)]
 struct ModelQueue {
     events: Vec<QueuedEv>,
@@ -328,11 +324,17 @@ impl ModelQueue {
     fn push(&mut self, time: Time, payload: Payload) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.events.push(QueuedEv { time, seq, payload });
+        // `seq` exceeds every queued one, so the new event goes after
+        // every event at or before its `(time, class)`.
+        let key = (time, payload.class());
+        let at = self
+            .events
+            .partition_point(|e| (e.time, e.payload.class()) <= key);
+        self.events.insert(at, QueuedEv { time, seq, payload });
     }
 
     fn peek_time(&self) -> Option<Time> {
-        self.events.iter().map(|e| e.time).min()
+        self.events.first().map(|e| e.time)
     }
 
     /// Removes and returns every event at the earliest pending time, in
@@ -341,17 +343,8 @@ impl ModelQueue {
     /// wheel's larger sequence numbers do.
     fn pop_instant(&mut self) -> Option<(Time, Vec<QueuedEv>)> {
         let t = self.peek_time()?;
-        let mut round: Vec<QueuedEv> = Vec::new();
-        self.events.retain(|e| {
-            if e.time == t {
-                round.push(*e);
-                false
-            } else {
-                true
-            }
-        });
-        round.sort_unstable_by_key(|e| e.key());
-        Some((t, round))
+        let k = self.events.partition_point(|e| e.time == t);
+        Some((t, self.events.drain(..k).collect()))
     }
 }
 
@@ -1022,11 +1015,10 @@ impl<N: ModelNode> Model<N> {
             }
             // Engine peer slots materialize lazily with default content,
             // so default entries encode as absent.
-            let live_peers: Vec<_> = self.peers[i]
+            let live_peers = self.peers[i]
                 .iter()
-                .filter(|(_, p)| p.discovered_version != 0 || p.fifo_out != Time::ZERO)
-                .collect();
-            out.push(live_peers.len() as u64);
+                .filter(|(_, p)| p.discovered_version != 0 || p.fifo_out != Time::ZERO);
+            out.push(live_peers.clone().count() as u64);
             for (&v, p) in live_peers {
                 out.push(v.index() as u64);
                 out.push(p.discovered_version);
@@ -1045,10 +1037,9 @@ impl<N: ModelNode> Model<N> {
         }
         out.push(self.topo_cursor as u64);
         out.push(self.fault_cursor as u64);
-        let mut pending = self.queue.events.clone();
-        pending.sort_unstable_by_key(|e| e.key());
+        let pending = &self.queue.events;
         out.push(pending.len() as u64);
-        for ev in &pending {
+        for ev in pending {
             out.push(ev.time.seconds().to_bits());
             match ev.payload {
                 Payload::Deliver {

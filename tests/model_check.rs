@@ -9,7 +9,7 @@
 use gradient_clock_sync::core::GradientNode;
 use gradient_clock_sync::mc::explore::{suite, trace_of_trail};
 use gradient_clock_sync::mc::mutant::{smoke_run, Mutation};
-use gradient_clock_sync::mc::{explore, fuzz, replay_trace, Trace};
+use gradient_clock_sync::mc::{explore, fuzz, replay_trace, Scenario, Trace};
 
 #[test]
 fn explorer_verifies_the_full_n2_suite() {
@@ -38,6 +38,30 @@ fn explorer_verifies_an_n3_churn_scenario() {
         sc.name,
         report.violation.unwrap().1
     );
+}
+
+/// Exact `(states, runs, max depth)` of the explorer: a change to the
+/// search order, the pruning rule or the canonical encoding moves them.
+/// Debug builds also assert, on every replayed trail prefix, that the
+/// skipped state is already in the seen set.
+#[test]
+fn explorer_counts_are_pinned() {
+    let counts = |sc: &Scenario| {
+        let r = explore(sc, |_| GradientNode::new(sc.algo), 1_000_000);
+        assert!(r.violation.is_none(), "{}", sc.name);
+        (r.states, r.runs, r.max_depth)
+    };
+    let mut totals = (0, 0, 0);
+    for sc in suite(2) {
+        let (states, runs, depth) = counts(&sc);
+        totals = (totals.0 + states, totals.1 + runs, totals.2.max(depth));
+    }
+    assert_eq!(totals, (6_016, 2_463, 8), "n = 2 suite totals");
+    let churn = suite(3)
+        .into_iter()
+        .find(|sc| sc.name == "n3-churn")
+        .expect("the n=3 suite has a churn scenario");
+    assert_eq!(counts(&churn), (4_016, 2_048, 11), "n3-churn");
 }
 
 #[test]
