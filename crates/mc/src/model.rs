@@ -502,6 +502,13 @@ impl<N: ModelNode> Model<N> {
         self.now
     }
 
+    /// Time of the earliest pending event, if any. Inside a [`Model::run`]
+    /// callback it is at or before the horizon exactly when another
+    /// instant follows.
+    pub fn next_instant(&self) -> Option<Time> {
+        self.queue.peek_time()
+    }
+
     /// The algorithm parameters this model runs under.
     pub fn algo(&self) -> &gcs_core::AlgoParams {
         &self.algo

@@ -85,12 +85,14 @@ impl TopologySchedule {
                 "edge {e:?} endpoint out of range for n={n}"
             );
         }
+        // Stable: same-instant events of one edge become adjacent.
         events.sort_by(|x, y| x.time.cmp(&y.time).then(x.edge.cmp(&y.edge)));
         let mut present = initial.clone();
         let mut i = 0;
         while i < events.len() {
             // Group events at identical times and check the same edge is not
-            // both added and removed simultaneously.
+            // both added and removed simultaneously: a run of one edge's
+            // events mixes kinds iff two adjacent ones differ.
             let t = events[i].time;
             assert!(
                 t > Time::ZERO,
@@ -107,9 +109,9 @@ impl TopologySchedule {
                     "edge {:?} endpoint out of range for n={n}",
                     ev.edge
                 );
-                for other in &batch[k + 1..] {
+                if let Some(next) = batch.get(k + 1) {
                     assert!(
-                        !(other.edge == ev.edge && other.kind != ev.kind),
+                        !(next.edge == ev.edge && next.kind != ev.kind),
                         "edge {:?} both added and removed at {t:?}",
                         ev.edge
                     );

@@ -42,8 +42,8 @@ fn explorer_verifies_an_n3_churn_scenario() {
 
 /// Exact `(states, runs, max depth)` of the explorer: a change to the
 /// search order, the pruning rule or the canonical encoding moves them.
-/// Debug builds also assert, on every replayed trail prefix, that the
-/// skipped state is already in the seen set.
+/// Debug builds also assert, for every resumed branch, that replaying its
+/// trail from time 0 reaches its snapshot's state.
 #[test]
 fn explorer_counts_are_pinned() {
     let counts = |sc: &Scenario| {
