@@ -123,7 +123,7 @@ impl SkewStream {
             } else if u.index() == self.argmin {
                 self.dirty = true;
             }
-            for v in sim.graph().neighbors(u) {
+            for v in sim.neighbors(u) {
                 let staleness = now - self.stamps[v.index()];
                 let estimate_v = self.offsets[v.index()] + now;
                 self.max_staleness_used = self.max_staleness_used.max(staleness);

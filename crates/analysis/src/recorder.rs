@@ -199,16 +199,12 @@ impl Recorder {
         let watched = self
             .watched
             .iter()
-            .map(|&e| {
-                sim.graph()
-                    .contains(e)
-                    .then(|| metrics::edge_skew_in(logical, e))
-            })
+            .map(|&e| sim.has_edge(e).then(|| metrics::edge_skew_in(logical, e)))
             .collect();
         let sample = Sample {
             t: sim.now().seconds(),
             global_skew: metrics::global_skew(logical),
-            max_local_skew: metrics::max_local_skew_in(logical, sim.graph()),
+            max_local_skew: metrics::max_local_skew_in(logical, sim.edges()),
             topology_events: sim.stats().topology_events,
             watched,
         };

@@ -1,18 +1,16 @@
-//! Dispatcher-overhead A/B: the persistent shard-resident worker pool
-//! against the retained per-segment fork/join backend, and batched
-//! sharded topology apply against the serial path.
+//! Dispatcher overhead: the shard-resident worker pool against inline
+//! dispatch, and batched sharded topology apply against the serial path.
 //!
 //! `segment_*` isolates per-segment dispatch cost: a timer-only automaton
 //! whose instants are exactly one wide segment each, so one benchmark
 //! iteration advances one segment and the measured time *is* the
-//! per-segment cost (handler work is a few nanoseconds). The fork/join
-//! backend pays two thread spawns + joins per segment; the pool pays two
-//! channel round-trips. The PR 9 acceptance gate on a single-CPU host is
-//! `segment_pool` at least 5x cheaper than `segment_forkjoin`.
+//! per-segment cost (handler work is a few nanoseconds). The pool pays
+//! two channel round-trips per segment.
 //!
 //! `topology_*` replays an E13-shaped instant — hundreds of link changes
-//! sharing one time — through the batched sharded apply (pool backend)
-//! and the serial apply (fork/join backend), measured in link-changes/s.
+//! sharing one time — through the batched sharded apply on the pool and
+//! the serial apply (a parallel threshold above the burst width), measured
+//! in link-changes/s.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use gcs_clocks::time::at;
@@ -70,17 +68,12 @@ fn bench_segment_dispatch(c: &mut Criterion) {
     // One alarm instant (= one parallel segment) per iteration.
     group.throughput(Throughput::Elements(1));
     // `segment_inline` (threads = 1, no parallel dispatch at all) is the
-    // zero-overhead floor: overhead(backend) = backend − inline.
-    for (label, threads, pool) in [
-        ("segment_inline", 1, true),
-        ("segment_forkjoin", 4, false),
-        ("segment_pool", 4, true),
-    ] {
+    // zero-overhead floor: pool overhead = pool − inline.
+    for (label, threads) in [("segment_inline", 1), ("segment_pool", 4)] {
         let schedule = TopologySchedule::static_graph(32, generators::ring(32));
         let mut sim = SimBuilder::topology(model(), ScheduleSource::new(schedule))
             .threads(threads)
             .par_threshold(1)
-            .persistent_pool(pool)
             .build_with(|_| Tick);
         let mut t = 0.0;
         group.bench_function(label, |b| {
@@ -121,14 +114,18 @@ fn bench_topology_apply(c: &mut Criterion) {
     let n = 2048;
     let mut group = c.benchmark_group("dispatch_overhead");
     group.throughput(Throughput::Elements((BURSTS * PER_BURST) as u64));
-    for (label, pool) in [("topology_serial", false), ("topology_batched", true)] {
+    // Same shard layout for both; only the threshold decides whether a
+    // burst goes to the pool.
+    for (label, par_min) in [
+        ("topology_serial", PER_BURST + 1),
+        ("topology_batched", 256),
+    ] {
         group.bench_function(label, |b| {
             b.iter_batched(
                 || {
                     SimBuilder::topology(model(), ScheduleSource::new(burst_schedule(n)))
                         .threads(8)
-                        .par_threshold(256)
-                        .persistent_pool(pool)
+                        .par_threshold(par_min)
                         .build_with(|_| Inert)
                 },
                 |mut sim: Simulator<Inert>| {

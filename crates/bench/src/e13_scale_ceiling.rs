@@ -112,8 +112,8 @@ pub struct FamilyOutcome {
     pub setup_s: f64,
     /// Seconds spent running it.
     pub wall_s: f64,
-    /// Seconds of `wall_s` spent applying topology batches (graph mirror
-    /// + sharded edge-store apply).
+    /// Seconds of `wall_s` spent applying topology batches to the
+    /// sharded edge store.
     pub topology_apply_s: f64,
     /// Events processed.
     pub events: u64,

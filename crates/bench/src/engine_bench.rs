@@ -137,7 +137,7 @@ pub struct Measurement {
     /// pipeline's event backlog; equals the stats field of the run).
     pub peak_topology_backlog: u64,
     /// Wall-clock seconds spent inside topology batch application
-    /// (graph mirror + sharded edge-store apply), a slice of `wall_s`.
+    /// (sharded edge-store apply), a slice of `wall_s`.
     pub topology_apply_s: f64,
     /// Segments dispatched across worker lanes (scheduling-only counter,
     /// recorded for the trajectory; not trace-relevant).

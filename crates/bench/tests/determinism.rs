@@ -248,18 +248,16 @@ fn random_delay_traces_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn e13_churn_walk_traces_bit_identical_across_threads_and_backends() {
+fn e13_churn_walk_traces_bit_identical_across_threads() {
     // The E13 "churn-walk" family (lazily pulled `ChurnSource` chords +
     // random-walk drift) keeps the topology batch path warm for the whole
-    // run. Pin that the persistent pool, the retained
-    // fork/join backend, and every thread count agree bit-for-bit —
-    // including the batch counters, which are trace-relevant and part of
+    // run. Pin that every thread count agrees bit-for-bit — including the batch counters, which are trace-relevant and part of
     // `SimStats` equality.
     let n = 64;
     let horizon = 6.0;
     let model = gcs_bench::default_model();
     let params = AlgoParams::with_minimal_b0(model, n, 0.5);
-    let build = |threads: usize, pool: bool| {
+    let build = |threads: usize| {
         let source = ChurnSource::new(
             n,
             generators::path(n),
@@ -279,16 +277,10 @@ fn e13_churn_walk_traces_bit_identical_across_threads_and_backends() {
             .delay(DelayStrategy::Max)
             .seed(4242)
             .threads(threads)
-            .persistent_pool(pool)
             .build_with(|_| GradientNode::new(params))
     };
-    let mut sims = [
-        build(1, true),
-        build(2, true),
-        build(8, true),
-        build(8, false),
-    ];
-    let labels = ["1t/pool", "2t/pool", "8t/pool", "8t/forkjoin"];
+    let mut sims = [build(1), build(2), build(8)];
+    let labels = ["1t", "2t", "8t"];
     let mut t = 0.0;
     while t < horizon {
         t = (t + 1.0_f64).min(horizon);

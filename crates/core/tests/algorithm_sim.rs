@@ -22,8 +22,7 @@ fn global_skew<A: gcs_sim::Automaton>(sim: &Simulator<A>) -> f64 {
 }
 
 fn max_local_skew<A: gcs_sim::Automaton>(sim: &Simulator<A>) -> f64 {
-    sim.graph()
-        .edges()
+    sim.edges()
         .map(|e| (sim.logical(e.lo()) - sim.logical(e.hi())).abs())
         .fold(0.0, f64::max)
 }

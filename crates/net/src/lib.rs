@@ -14,9 +14,8 @@
 //! * [`NodeId`] and canonical undirected [`Edge`] identifiers,
 //! * [`TopologySchedule`] — the timed add/remove event log that defines a
 //!   dynamic graph `E(t)`, with validation (no simultaneous add+remove of
-//!   the same edge, adds only for absent edges, …),
-//! * [`DynamicGraph`] — replayable graph state with full presence history
-//!   and the `exists_throughout` predicate from Section 3.2,
+//!   the same edge, adds only for absent edges, …) and the
+//!   `exists_throughout` predicate from Section 3.2,
 //! * [`generators`] — static topologies (paths, rings, grids, trees,
 //!   G(n,p), random geometric, and the paper's two-chain lower-bound
 //!   network),
@@ -60,7 +59,6 @@ pub mod adversary;
 pub mod churn;
 pub mod connectivity;
 pub mod distance;
-pub mod dynamic;
 pub mod generators;
 pub mod ids;
 pub mod schedule;
@@ -68,7 +66,6 @@ pub mod source;
 pub mod workloads;
 
 pub use adversary::{greedy_worst_case, AdversarialChurnSource, BridgeAttack};
-pub use dynamic::DynamicGraph;
 pub use ids::{node, Edge, NodeId};
 pub use schedule::{TopologyEvent, TopologyEventKind, TopologySchedule};
 pub use source::{collect_schedule, ScheduleSource, TopologySource};

@@ -504,8 +504,8 @@ struct Worker {
 /// lane `w`, so the shard → lane assignment is fixed for the life of
 /// the simulator (warm caches, and no cross-lane migration of shard
 /// state). Pinning — like everything else about the pool — is
-/// scheduling only: traces are bit-identical to the inline and fork/join
-/// paths because jobs run the same `run_shard`/`apply_batch` bodies over
+/// scheduling only: traces are bit-identical to the inline path because
+/// jobs run the same `run_shard`/`apply_batch` bodies over
 /// the same disjoint `&mut` partitions.
 ///
 /// **Soundness**: jobs capture non-`'static` borrows of the simulator's

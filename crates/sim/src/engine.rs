@@ -1,9 +1,9 @@
 //! The deterministic parallel discrete-event simulation engine.
 //!
 //! [`Simulator`] replays a topology stream — any [`TopologySource`], with
-//! eager [`TopologySchedule`]s adapted through [`ScheduleSource`] —
-//! against a set of protocol [`Automaton`]s, enforcing the model
-//! guarantees of Section 3.2:
+//! eager [`TopologySchedule`](gcs_net::TopologySchedule)s adapted through
+//! [`ScheduleSource`](gcs_net::ScheduleSource) — against a set of
+//! protocol [`Automaton`]s, enforcing the model guarantees of Section 3.2:
 //!
 //! * **Delays**: every delivered message takes `[0, T]` real time, FIFO per
 //!   directed link (enforced by clamping a later message's delivery to the
@@ -55,10 +55,10 @@
 //! [`DriftSource`] instead of `n` materialized `RateSchedule`s, and the
 //! only per-node drift state is an O(1) cursor in the owning shard,
 //! created the first time a node's clock is evaluated past time 0
-//! (`H(0) = 0` needs nothing). Eager `.clocks(...)` constructions are
-//! adapted through `ScheduleDrift` (stateless — no cursors at all), and
-//! node-local engine state lives in a struct-of-arrays table sized by
-//! the touched-node watermark, so untouched nodes cost zero bytes of
+//! (`H(0) = 0` needs nothing). Eager per-node clocks are adapted through
+//! `ScheduleDrift` (stateless — no cursors at all), and node-local engine
+//! state lives in a struct-of-arrays table sized by the touched-node
+//! watermark, so untouched nodes cost zero bytes of
 //! clock, RNG, timer, and peer state. Every evaluation path produces
 //! the identical bits the materialized schedule would — pinned by
 //! `crates/bench/tests/lazy_drift.rs`.
@@ -72,11 +72,13 @@
 //! [`Simulator::run_until`] drains the wheel one **instant** (all
 //! events at the earliest pending time) at a time. The instant's
 //! topology events form a contiguous prefix (the class sort above) and
-//! are applied as **one batch** before any handler runs: the graph
-//! mirror serially in seq order, then the edge-store deltas partitioned
-//! by shard and applied per shard in seq order — equivalent to the
-//! serial walk because shards own disjoint edge rows. The rest of the
-//! instant (fault events are serial barriers) is cut into *segments*;
+//! are applied as **one batch** before any handler runs: the edge-store
+//! deltas partitioned by shard and applied per shard in seq order —
+//! equivalent to the serial walk because shards own disjoint edge rows.
+//! The edge store is the engine's only copy of the graph; observers read
+//! it through [`Simulator::neighbors`], [`Simulator::edges`] and
+//! [`Simulator::has_edge`]. The rest of the instant (fault events are
+//! serial barriers) is cut into *segments*;
 //! all events inside a segment target node-exclusive state, so a
 //! segment is dispatched **sharded by owning [`NodeId`]** — round-robin
 //! over [`SimBuilder::threads`] worker shards. Wide segments and wide
@@ -84,14 +86,11 @@
 //! env [`PAR_MIN_ENV`]) run on a **persistent worker pool** (the
 //! `dispatch` module): shard-pinned lanes spawned once at the first
 //! wide segment, lane 0 on the coordinating thread, fed per-barrier
-//! jobs over channels — the per-segment `std::thread::scope`
-//! spawn/join it replaces survives behind
-//! [`SimBuilder::persistent_pool`]`(false)` as the A/B baseline.
-//! Handler-emitted actions are buffered and merged back
-//! into the wheel in the canonical `(triggering event seq, emission
+//! jobs over channels. Handler-emitted actions are buffered and merged
+//! back into the wheel in the canonical `(triggering event seq, emission
 //! index)` order, and every random draw comes from the consuming node's
 //! private stream, so the trace is **bit-identical for every thread
-//! count and both backends** — pinned by
+//! count and parallel threshold** — pinned by
 //! `crates/bench/tests/determinism.rs` and `crates/sim/tests/pool.rs`,
 //! with eager-vs-streaming equivalence pinned by
 //! `crates/bench/tests/streaming.rs`.
@@ -105,13 +104,9 @@ use crate::model::ModelParams;
 use crate::shard::{EdgeStore, Shards};
 use crate::stats::SimStats;
 use crate::wheel::TimeWheel;
-use gcs_clocks::{
-    DriftModel, DriftSource, Duration, HardwareClock, ModelDrift, ScheduleDrift, Time,
-};
+use gcs_clocks::{DriftModel, DriftSource, Duration, ModelDrift, Time};
 use gcs_net::schedule::TopologyEventKind;
-use gcs_net::{
-    DynamicGraph, Edge, NodeId, ScheduleSource, TopologyEvent, TopologySchedule, TopologySource,
-};
+use gcs_net::{Edge, NodeId, TopologyEvent, TopologySource};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -234,6 +229,11 @@ fn discovery_stream_seed(seed: u64, edge: Edge, version: u64, endpoint: NodeId) 
         ^ (endpoint.index() as u64 + 1).wrapping_mul(0xA076_1D64_78BD_642F)
 }
 
+/// Fails closed on a [`TopologySource`] naming a node outside `0..n`.
+fn assert_in_range(e: Edge, n: usize) {
+    assert!(e.hi().index() < n, "edge {e:?} out of range for n={n}");
+}
+
 /// A pulled topology event parked in the staging buffer: the compact
 /// form the horizon-gated admission path holds instead of the three
 /// materialized wheel events (change + two discovers). `seq` is the
@@ -266,9 +266,6 @@ struct StagedFault {
 enum DriftSpec {
     /// Perfect clocks (the default).
     Perfect,
-    /// Explicit per-node clocks, served through the eager
-    /// [`ScheduleDrift`] adapter.
-    Clocks(Vec<HardwareClock>),
     /// A [`DriftModel`] evaluated lazily ([`ModelDrift`]), keyed by the
     /// builder's *final* seed.
     Model { model: DriftModel, horizon: f64 },
@@ -288,9 +285,6 @@ enum DriftSpec {
 ///   [`DriftModel`]s),
 /// * [`faults`](Self::faults) takes the fault plane (any
 ///   [`FaultSource`]).
-///
-/// The pre-fault constructors (`new`, `from_source`, `clocks`,
-/// `drift_source`) survive as thin deprecated adapters over these forms.
 pub struct SimBuilder {
     params: ModelParams,
     source: Box<dyn TopologySource>,
@@ -302,24 +296,16 @@ pub struct SimBuilder {
     seed: u64,
     threads: Option<usize>,
     par_threshold: Option<usize>,
-    persistent_pool: bool,
-    record_history: bool,
 }
 
 impl SimBuilder {
-    /// Starts a builder over an eagerly materialized schedule.
-    #[deprecated(note = "use SimBuilder::topology(params, ScheduleSource::new(schedule))")]
-    pub fn new(params: ModelParams, schedule: TopologySchedule) -> Self {
-        Self::topology(params, ScheduleSource::new(schedule))
-    }
-
     /// Starts a builder over a topology stream — the canonical
-    /// constructor. Eager [`TopologySchedule`]s adapt through
-    /// [`ScheduleSource`]; lazy sources keep peak memory independent of
-    /// the total churn-event count. Defaults: perfect clocks, no faults,
-    /// maximum delays, worst-case (`= D`) discovery latency, seed 0,
-    /// worker count from [`THREADS_ENV`] (1 when unset), presence
-    /// history off.
+    /// constructor. Eager [`TopologySchedule`](gcs_net::TopologySchedule)s
+    /// adapt through [`ScheduleSource`](gcs_net::ScheduleSource); lazy
+    /// sources keep peak memory independent of the total churn-event
+    /// count. Defaults: perfect clocks, no faults, maximum delays,
+    /// worst-case (`= D`) discovery latency, seed 0, worker count from
+    /// [`THREADS_ENV`] (1 when unset).
     pub fn topology(params: ModelParams, source: impl TopologySource + 'static) -> Self {
         let n = source.n();
         SimBuilder {
@@ -333,34 +319,13 @@ impl SimBuilder {
             seed: 0,
             threads: None,
             par_threshold: None,
-            persistent_pool: true,
-            record_history: false,
         }
-    }
-
-    /// Starts a builder over any lazily generated topology stream.
-    #[deprecated(note = "renamed to SimBuilder::topology")]
-    pub fn from_source(params: ModelParams, source: impl TopologySource + 'static) -> Self {
-        Self::topology(params, source)
-    }
-
-    /// Uses explicit per-node hardware clocks.
-    #[deprecated(note = "use .drift(ScheduleDrift::new(clocks))")]
-    pub fn clocks(mut self, clocks: Vec<HardwareClock>) -> Self {
-        assert_eq!(
-            clocks.len(),
-            self.n,
-            "need one clock per node ({} != {})",
-            clocks.len(),
-            self.n
-        );
-        self.drift = DriftSpec::Clocks(clocks);
-        self
     }
 
     /// Uses a caller-supplied drift plane (any [`DriftSource`]) — the
     /// canonical clock input, mirroring [`topology`](Self::topology).
-    /// Eager per-node [`HardwareClock`]s adapt through [`ScheduleDrift`];
+    /// Eager per-node [`HardwareClock`](gcs_clocks::HardwareClock)s adapt
+    /// through [`ScheduleDrift`](gcs_clocks::ScheduleDrift);
     /// [`DriftModel`]s through [`drift_model`](Self::drift_model) (which
     /// defers seeding to build time — prefer it for models).
     pub fn drift(mut self, source: impl DriftSource + 'static) -> Self {
@@ -387,13 +352,6 @@ impl SimBuilder {
         self
     }
 
-    /// Uses a caller-supplied drift plane.
-    #[deprecated(note = "renamed to SimBuilder::drift")]
-    pub fn drift_source(mut self, source: impl DriftSource + 'static) -> Self {
-        self.drift = DriftSpec::Source(Box::new(source));
-        self
-    }
-
     /// Attaches a fault plane (any [`FaultSource`]): crash/restart,
     /// message-loss and delay-spike windows, and drift excursions, pulled
     /// lazily and applied as serial barriers in `(time, class, seq)`
@@ -401,15 +359,6 @@ impl SimBuilder {
     /// every fault check (clean runs pay nothing).
     pub fn faults(mut self, source: impl FaultSource + 'static) -> Self {
         self.faults = Some(Box::new(source));
-        self
-    }
-
-    /// Records full per-edge presence history on the live
-    /// [`DynamicGraph`] (off by default: history costs `O(total events)`
-    /// memory over a run, which is exactly the term the streaming
-    /// pipeline removes).
-    pub fn record_history(mut self, record: bool) -> Self {
-        self.record_history = record;
         self
     }
 
@@ -442,7 +391,7 @@ impl SimBuilder {
     }
 
     /// Minimum events in a segment or topology batch before it is handed
-    /// to the parallel backend (≥ 1); narrower ones run inline.
+    /// to the worker pool (≥ 1); narrower ones run inline.
     /// Overrides [`PAR_MIN_ENV`]; defaults to 64. Scheduling only — the
     /// trace is bit-identical for every value (pinned by the boundary
     /// proptest in `crates/sim/tests/pool.rs`). The effective value is
@@ -450,17 +399,6 @@ impl SimBuilder {
     pub fn par_threshold(mut self, events: usize) -> Self {
         assert!(events >= 1, "threshold of 0 would parallelize empty work");
         self.par_threshold = Some(events);
-        self
-    }
-
-    /// Chooses the wide-segment dispatch backend: the persistent
-    /// shard-pinned worker pool (default, `true`) or the pre-pool
-    /// per-segment `std::thread::scope` fork/join (`false`), kept
-    /// selectable so benches and tests can A/B the two. Traces are
-    /// bit-identical either way; with fork/join, topology batches apply
-    /// serially.
-    pub fn persistent_pool(mut self, on: bool) -> Self {
-        self.persistent_pool = on;
         self
     }
 
@@ -488,7 +426,6 @@ impl SimBuilder {
                 1.0,
                 self.seed,
             )),
-            DriftSpec::Clocks(clocks) => Box::new(ScheduleDrift::new(clocks)),
             DriftSpec::Model { model, horizon } => Box::new(ModelDrift::new(
                 model,
                 self.params.rho,
@@ -506,8 +443,6 @@ impl SimBuilder {
         // Bucket width tied to the delay bound: most deliveries span a
         // handful of buckets, timers a few more.
         let mut queue = TimeWheel::new(self.params.t / 4.0);
-        let mut graph = DynamicGraph::empty(n);
-        graph.set_retain_history(self.record_history);
 
         // Initial edges exist (and are discovered) at time 0.
         let initial = self.source.initial_edges();
@@ -516,7 +451,7 @@ impl SimBuilder {
             "source initial edges must be sorted and distinct"
         );
         for &e in &initial {
-            graph.add_edge(e, Time::ZERO);
+            assert_in_range(e, n);
             edges.insert_initial(e);
             for w in [e.lo(), e.hi()] {
                 queue.push(
@@ -536,7 +471,6 @@ impl SimBuilder {
         let mut sim = Simulator {
             params: self.params,
             drift,
-            graph,
             queue,
             shards,
             edges,
@@ -576,7 +510,6 @@ impl SimBuilder {
             touched_buf: Vec::new(),
             pool: None,
             pool_spawns: 0,
-            use_pool: self.persistent_pool,
             par_min,
             topology_apply: std::time::Duration::ZERO,
         };
@@ -594,7 +527,8 @@ impl SimBuilder {
 
 /// Heap-byte census of the engine's memory planes, one meter per plane:
 ///
-/// * `topology` — canonical edge state plus the live dynamic graph,
+/// * `topology` — the edge store: canonical edge state plus the
+///   back-references that let each node enumerate its neighbours,
 /// * `drift` — hardware memo columns and materialized drift cursors,
 /// * `automaton_hot` — automaton structs and their heap state, plus the
 ///   engine-side per-node columns (timers, peers, RNG streams),
@@ -609,7 +543,7 @@ impl SimBuilder {
 /// to attribute peak memory to a plane, not an allocator-level audit.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlaneBytes {
-    /// Canonical edge state plus live dynamic-graph adjacency.
+    /// Edge store: canonical edge state plus back-references.
     pub topology: usize,
     /// Hardware memo columns plus materialized drift cursors.
     pub drift: usize,
@@ -648,12 +582,12 @@ pub struct Simulator<A: Automaton> {
     /// The drift plane: rates are evaluated on demand (per-node cursors
     /// live in the owning shard; stateless adapters keep none).
     drift: Box<dyn DriftSource>,
-    graph: DynamicGraph,
     queue: TimeWheel,
     /// Automata plus node-local engine state, sharded by owner.
     shards: Shards<A>,
-    /// Canonical per-edge state (liveness, epochs, change/removal
-    /// versions), written only between segments.
+    /// The dynamic graph: canonical per-edge state (liveness, epochs,
+    /// change/removal versions) plus neighbour back-references, written
+    /// only between segments.
     edges: EdgeStore,
     /// The topology stream; pulled incrementally by `pump_topology`.
     source: Box<dyn TopologySource>,
@@ -685,7 +619,7 @@ pub struct Simulator<A: Automaton> {
     pull_buf: Vec<TopologyEvent>,
     /// Configured worker count (shard count is `min(workers, n)`).
     workers: usize,
-    /// OS threads actually spawned per wide segment:
+    /// Pool lanes (the coordinating thread plus spawned workers):
     /// `min(shard count, max(2, host parallelism))`. Caps oversubscription
     /// when the host has fewer cores than configured shards; floored at 2
     /// so the concurrent dispatch path runs on every host. Scheduling
@@ -704,16 +638,13 @@ pub struct Simulator<A: Automaton> {
     /// Times the pool has been (re-)spawned — 1 for the life of a
     /// simulator unless it never went wide (test observability).
     pool_spawns: u64,
-    /// Dispatch backend toggle: persistent pool (default) vs per-segment
-    /// scoped fork/join (see [`SimBuilder::persistent_pool`]).
-    use_pool: bool,
     /// Effective parallel threshold (events) for segments and topology
     /// batches; see [`SimBuilder::par_threshold`].
     par_min: usize,
-    /// Wall-clock time spent applying topology batches (graph mirror +
-    /// canonical edge state). Host-dependent by nature, so it lives here
-    /// rather than in [`SimStats`], whose counters must compare equal
-    /// across thread counts.
+    /// Wall-clock time spent applying topology batches to the edge
+    /// store. Host-dependent by nature, so it lives here rather than in
+    /// [`SimStats`], whose counters must compare equal across thread
+    /// counts.
     topology_apply: std::time::Duration,
 }
 
@@ -744,9 +675,19 @@ impl<A: Automaton> Simulator<A> {
         &self.stats
     }
 
-    /// The live graph state.
-    pub fn graph(&self) -> &DynamicGraph {
-        &self.graph
+    /// The current neighbours of `u`, in ascending order.
+    pub fn neighbors(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.edges.live_at(u).map(|(v, _)| v)
+    }
+
+    /// Every edge currently up, in ascending [`Edge`] order.
+    pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
+        self.edges.live_edges()
+    }
+
+    /// True if `e` is currently up.
+    pub fn has_edge(&self, e: Edge) -> bool {
+        e.hi().index() < self.n && self.edges.find(e).is_some_and(|s| s.live)
     }
 
     /// Immutable access to a node's automaton.
@@ -893,7 +834,7 @@ impl<A: Automaton> Simulator<A> {
     pub fn plane_bytes(&self) -> PlaneBytes {
         use std::mem::size_of;
         let mut p = PlaneBytes {
-            topology: self.edges.heap_bytes() + self.graph.heap_bytes(),
+            topology: self.edges.heap_bytes(),
             wheel: self.queue.heap_bytes(),
             staging: self.topo_staged.capacity() * size_of::<StagedTopology>()
                 + self.fault_staged.capacity() * size_of::<StagedFault>(),
@@ -936,17 +877,16 @@ impl<A: Automaton> Simulator<A> {
         self.queue.pending_peaks()
     }
 
-    /// Wall-clock seconds spent applying topology batches so far (graph
-    /// mirror plus canonical edge state, whichever backend applied it).
-    /// Host- and backend-dependent by nature — this is a performance
-    /// meter, not part of the deterministic trace.
+    /// Wall-clock seconds spent applying topology batches to the edge
+    /// store so far, inline or on the pool. Host-dependent by nature —
+    /// this is a performance meter, not part of the deterministic trace.
     pub fn topology_apply_seconds(&self) -> f64 {
         self.topology_apply.as_secs_f64()
     }
 
     /// Worker threads currently alive in the persistent pool (0 until
-    /// the first wide segment spawns it, and always 0 with the fork/join
-    /// backend or `threads == 1`).
+    /// the first wide segment spawns it, and always 0 with
+    /// `threads == 1`).
     pub fn pool_workers(&self) -> usize {
         self.pool.as_ref().map_or(0, WorkerPool::size)
     }
@@ -1116,6 +1056,7 @@ impl<A: Automaton> Simulator<A> {
             self.topo_staged.back().is_none_or(|s| s.time <= ev.time),
             "topology source must emit nondecreasing times"
         );
+        assert_in_range(ev.edge, self.n);
         let version = self.edges.next_version(ev.edge);
         let kind = match ev.kind {
             TopologyEventKind::Add => LinkChangeKind::Added,
@@ -1311,13 +1252,11 @@ impl<A: Automaton> Simulator<A> {
     /// Dispatches one topology-free segment and merges its effects.
     ///
     /// Wide segments (≥ `par_min` events, more than one shard) go to the
-    /// parallel backend: by default the persistent pool — shard chunk
-    /// `w` always runs on pool worker `w`, so the shard → worker pinning
-    /// is fixed for the simulator's lifetime — or, when configured, the
-    /// legacy per-segment `std::thread::scope` fork/join. Both backends
-    /// run the same dispatch body over the same disjoint `&mut` shard
-    /// partition and merge effects in the same canonical order, so the
-    /// choice (like the threshold) is scheduling only.
+    /// persistent pool — shard chunk `w` always runs on pool worker `w`,
+    /// so the shard → worker pinning is fixed for the simulator's
+    /// lifetime. Inline and pooled dispatch run the same body over the
+    /// same disjoint shard partition and merge effects in the same
+    /// canonical order, so the threshold is scheduling only.
     fn run_segment(&mut self, seg: &[QueuedEvent]) {
         let shard_count = self.shards.count();
         let parallel = shard_count > 1 && seg.len() >= self.par_min;
@@ -1358,46 +1297,28 @@ impl<A: Automaton> Simulator<A> {
             shard_count,
             observing: self.observing,
         };
-        if self.use_pool {
-            if self.pool.is_none() {
-                self.pool = Some(WorkerPool::spawn(os_workers));
-                self.pool_spawns += 1;
-            }
-            let pool = self.pool.as_mut().expect("spawned above");
-            let mut jobs: Vec<(usize, ScopedJob<'_>)> = Vec::with_capacity(os_workers);
-            for (w, chunk) in self.shards.shards.chunks_mut(per_worker).enumerate() {
-                if chunk.iter().all(|s| s.events.is_empty()) {
-                    continue;
-                }
-                jobs.push((
-                    w,
-                    Box::new(move || {
-                        for shard in chunk.iter_mut() {
-                            if !shard.events.is_empty() {
-                                dispatch::run_shard(&ctx, shard);
-                            }
-                        }
-                    }),
-                ));
-            }
-            pool.run(jobs);
-        } else {
-            std::thread::scope(|scope| {
-                for chunk in self.shards.shards.chunks_mut(per_worker) {
-                    if chunk.iter().all(|s| s.events.is_empty()) {
-                        continue;
-                    }
-                    let ctx = &ctx;
-                    scope.spawn(move || {
-                        for shard in chunk.iter_mut() {
-                            if !shard.events.is_empty() {
-                                dispatch::run_shard(ctx, shard);
-                            }
-                        }
-                    });
-                }
-            });
+        if self.pool.is_none() {
+            self.pool = Some(WorkerPool::spawn(os_workers));
+            self.pool_spawns += 1;
         }
+        let pool = self.pool.as_mut().expect("spawned above");
+        let mut jobs: Vec<(usize, ScopedJob<'_>)> = Vec::with_capacity(os_workers);
+        for (w, chunk) in self.shards.shards.chunks_mut(per_worker).enumerate() {
+            if chunk.iter().all(|s| s.events.is_empty()) {
+                continue;
+            }
+            jobs.push((
+                w,
+                Box::new(move || {
+                    for shard in chunk.iter_mut() {
+                        if !shard.events.is_empty() {
+                            dispatch::run_shard(&ctx, shard);
+                        }
+                    }
+                }),
+            ));
+        }
+        pool.run(jobs);
         self.merge_effects();
     }
 
@@ -1517,17 +1438,12 @@ impl<A: Automaton> Simulator<A> {
                 });
                 self.merge_effects();
                 // The rebooted node rediscovers its currently-live edges
-                // within D, under each edge's last *applied* add version
-                // (stale-suppression then still admits any newer change).
-                let mut neighbors: Vec<NodeId> = self.graph.neighbors(node).collect();
-                neighbors.sort_unstable();
-                for v in neighbors {
+                // within D, in ascending neighbour order, under each
+                // edge's last *applied* add version (stale-suppression
+                // then still admits any newer change).
+                for (v, state) in self.edges.live_at(node) {
                     let edge = Edge::new(node, v);
-                    let version = self
-                        .edges
-                        .find(edge)
-                        .map(|e| e.last_add_version)
-                        .unwrap_or(1);
+                    let version = state.last_add_version;
                     let lat = self.discovery.scheduled_latency(
                         self.params.d,
                         self.seed ^ RESTART_DISCOVERY_SALT,
@@ -1568,13 +1484,13 @@ impl<A: Automaton> Simulator<A> {
     /// Applies one instant's topology changes as a single batch — one
     /// barrier per instant instead of one per event.
     ///
-    /// The live [`DynamicGraph`] mirror touches *both* endpoints'
-    /// adjacency per change, so it stays serial, applied in queue-`seq`
-    /// order. The canonical [`EdgeStore`] rows shard cleanly by lower
-    /// endpoint: wide batches are partitioned per [`crate::shard::EdgeShard`]
-    /// and applied on each shard's pinned pool worker, each shard in
-    /// `(seq)` order — disjoint rows, so the result is bit-identical to
-    /// the serial loop (narrow batches, fork/join mode, and `step`).
+    /// The canonical [`EdgeStore`] entries shard cleanly by lower
+    /// endpoint, and applying a change only flips an existing entry
+    /// (entries and back-references are created at pull time): wide
+    /// batches are partitioned per [`crate::shard::EdgeShard`] and
+    /// applied on each shard's pinned pool worker, each shard in `(seq)`
+    /// order — disjoint rows, so the result is bit-identical to the
+    /// serial loop (narrow batches and `step`).
     fn apply_topology_batch(&mut self, batch: &[QueuedEvent]) {
         let started = std::time::Instant::now();
         self.stats.topology_events += batch.len() as u64;
@@ -1582,42 +1498,25 @@ impl<A: Automaton> Simulator<A> {
         self.stats.peak_batch_len = self.stats.peak_batch_len.max(batch.len() as u64);
         self.topo_backlog -= batch.len() as u64;
         let now = self.now;
+        let shard_count = self.edges.shard_count();
+        let wide = shard_count > 1 && batch.len() >= self.par_min;
         for ev in batch {
-            let EventPayload::Topology { kind, edge, .. } = ev.payload else {
+            let EventPayload::Topology {
+                kind,
+                edge,
+                version,
+            } = ev.payload
+            else {
                 unreachable!("caller passes the instant's topology prefix only");
             };
-            match kind {
-                LinkChangeKind::Added => self.graph.add_edge(edge, now),
-                LinkChangeKind::Removed => self.graph.remove_edge(edge, now),
-            }
-        }
-        let shard_count = self.edges.shard_count();
-        let wide = self.use_pool && shard_count > 1 && batch.len() >= self.par_min;
-        if !wide {
-            for ev in batch {
-                let EventPayload::Topology {
-                    kind,
-                    edge,
-                    version,
-                } = ev.payload
-                else {
-                    unreachable!("checked above");
-                };
-                self.edges.apply(kind, edge, version);
-            }
-        } else {
-            for ev in batch {
-                let EventPayload::Topology {
-                    kind,
-                    edge,
-                    version,
-                } = ev.payload
-                else {
-                    unreachable!("checked above");
-                };
+            if wide {
                 let s = self.edges.shard_of(edge);
                 self.edges.shards[s].batch.push((kind, edge, version));
+            } else {
+                self.edges.apply(kind, edge, version, now);
             }
+        }
+        if wide {
             if self.pool.is_none() {
                 self.pool = Some(WorkerPool::spawn(self.os_workers));
                 self.pool_spawns += 1;
@@ -1635,7 +1534,7 @@ impl<A: Automaton> Simulator<A> {
                     w,
                     Box::new(move || {
                         for shard in chunk.iter_mut() {
-                            shard.apply_batch(shard_count);
+                            shard.apply_batch(now, shard_count);
                         }
                     }),
                 ));

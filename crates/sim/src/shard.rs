@@ -23,13 +23,16 @@
 //!   and cursor evaluation is bit-identical to the eager schedule.
 //! * **Canonical edge state** — liveness, epoch, removal version and the
 //!   per-edge schedule-version counter of every edge, kept on the edge's
-//!   *lower* endpoint — lives in the [`EdgeStore`], which is only ever
-//!   written *between* segments (by topology pulls and applications, and
-//!   by the serial startup/step paths). Entries are created
-//!   **incrementally**: initial edges at build time, churned edges the
-//!   moment their first event is pulled from the `TopologySource` — the
-//!   store never needs to know the future, which is what lets topology
-//!   stream instead of materializing. During a segment every worker
+//!   *lower* endpoint, plus a back-reference on the higher endpoint's
+//!   row so each node can enumerate its neighbours — lives in the
+//!   [`EdgeStore`], the engine's one copy of the dynamic graph. It is
+//!   only ever written *between* segments (by topology pulls and
+//!   applications, and by the serial startup/step paths). Entries and
+//!   back-references are created **incrementally**: initial edges at
+//!   build time, churned edges the moment their first event is pulled
+//!   from the `TopologySource` — the store never needs to know the
+//!   future, which is what lets topology stream instead of
+//!   materializing. During a segment every worker
 //!   reads it through a shared `&`, which is safe precisely because
 //!   deliveries cannot change liveness or epochs. Writes happen only at
 //!   the topology barrier between segments: serially for narrow
@@ -47,15 +50,18 @@ use gcs_net::{Edge, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Canonical per-edge state, stored on the lower endpoint's adjacency
-/// vector (sorted by the higher endpoint). Entries are created on first
-/// contact and are sticky: churn toggles fields instead of reshaping the
-/// vector.
+/// One entry of a node's adjacency row (sorted by `neighbor`). An entry
+/// whose `neighbor` is *higher* than the row's node is the edge's
+/// canonical state; one whose `neighbor` is *lower* is a back-reference
+/// to the canonical entry on that neighbour's row, and carries nothing
+/// else (its other fields stay zero — liveness has one copy). Entries
+/// are created on first contact and are sticky: churn toggles fields
+/// instead of reshaping the row.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct EdgeShared {
-    /// The higher endpoint of the edge.
+    /// The other endpoint of the edge.
     pub neighbor: NodeId,
-    /// Mirror of `graph.contains(edge)`.
+    /// Whether the edge is currently up.
     pub live: bool,
     /// Incremented when the edge is (re-)added. Deliveries carry the epoch
     /// they were sent in; a mismatch at delivery means the edge went down
@@ -92,13 +98,16 @@ impl EdgeShared {
 /// One shard's slice of the canonical edge state: the adjacency rows of
 /// every node it owns, plus that shard's slice of the topology batch
 /// currently being applied. An `EdgeShard` is the unit the engine hands
-/// to a pool worker during a batched topology apply — each edge's row
-/// lives in exactly one shard (by lower endpoint), so per-shard
-/// application in `(seq)` order produces content bit-identical to the
-/// serial loop.
+/// to a pool worker during a batched topology apply — each edge's
+/// canonical entry lives in exactly one shard (by lower endpoint), and
+/// applying a change only mutates an existing canonical entry, so
+/// per-shard application in `(seq)` order produces content
+/// bit-identical to the serial loop.
 #[derive(Debug, Default)]
 pub(crate) struct EdgeShard {
-    /// `rows[local(lo)]` = sorted adjacency of node `lo`.
+    /// `rows[local(u)]` = adjacency of node `u`, sorted by neighbour:
+    /// back-references to lower neighbours, then canonical entries of
+    /// edges to higher ones.
     rows: Vec<Vec<EdgeShared>>,
     /// This shard's slice of the current topology batch, in `(seq)`
     /// order. Filled by the engine at the batch barrier, drained by
@@ -108,31 +117,34 @@ pub(crate) struct EdgeShard {
 }
 
 impl EdgeShard {
-    /// The canonical state of `edge` within this shard, created on first
-    /// contact. `edge.lo()` must be owned by this shard.
-    fn entry(&mut self, edge: Edge, shard_count: usize) -> &mut EdgeShared {
+    /// Applies one topology change at `now` to this shard's slice of the
+    /// edge state; stats and backlog accounting stay with the engine.
+    /// The entry already exists (it is created when the change is pulled),
+    /// so no row is reshaped and no other shard is touched. Fails closed
+    /// on the [`gcs_net::TopologySource`] contract: adds only for absent
+    /// edges, removes only for present ones.
+    pub fn apply(
+        &mut self,
+        kind: LinkChangeKind,
+        edge: Edge,
+        version: u64,
+        now: Time,
+        shard_count: usize,
+    ) {
         let row = &mut self.rows[edge.lo().index() / shard_count];
-        match row.binary_search_by_key(&edge.hi(), |e| e.neighbor) {
-            Ok(i) => &mut row[i],
-            Err(i) => {
-                row.insert(i, EdgeShared::new(edge.hi()));
-                &mut row[i]
-            }
-        }
-    }
-
-    /// Applies one topology change to this shard's slice of the edge
-    /// state. The graph mirror, stats and backlog accounting stay with
-    /// the engine — this is only the per-edge canonical mutation.
-    pub fn apply(&mut self, kind: LinkChangeKind, edge: Edge, version: u64, shard_count: usize) {
-        let entry = self.entry(edge, shard_count);
+        let i = row
+            .binary_search_by_key(&edge.hi(), |e| e.neighbor)
+            .expect("a change's entry is created when it is pulled");
+        let entry = &mut row[i];
         match kind {
             LinkChangeKind::Added => {
+                assert!(!entry.live, "edge {edge:?} already present at {now:?}");
                 entry.epoch += 1;
                 entry.live = true;
                 entry.last_add_version = version;
             }
             LinkChangeKind::Removed => {
+                assert!(entry.live, "edge {edge:?} not present at {now:?}");
                 entry.last_remove_version = version;
                 entry.live = false;
             }
@@ -144,16 +156,17 @@ impl EdgeShard {
     /// the sorted instant). Runs on the shard's pinned pool worker
     /// during a wide batch, inline otherwise; either way the resulting
     /// edge state is identical.
-    pub fn apply_batch(&mut self, shard_count: usize) {
+    pub fn apply_batch(&mut self, now: Time, shard_count: usize) {
         let batch = std::mem::take(&mut self.batch);
         for &(kind, edge, version) in &batch {
-            self.apply(kind, edge, version, shard_count);
+            self.apply(kind, edge, version, now, shard_count);
         }
         self.batch = batch;
         self.batch.clear();
     }
 
-    /// Heap bytes of this shard's adjacency rows.
+    /// Heap bytes of this shard's adjacency rows (canonical entries and
+    /// back-references).
     fn rows_heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.rows.capacity() * size_of::<Vec<EdgeShared>>()
@@ -187,6 +200,7 @@ pub(crate) struct EdgeStore {
     /// One [`EdgeShard`] per worker shard.
     pub shards: Vec<EdgeShard>,
     shard_count: usize,
+    n: usize,
 }
 
 impl EdgeStore {
@@ -201,6 +215,7 @@ impl EdgeStore {
         EdgeStore {
             shards,
             shard_count,
+            n,
         }
     }
 
@@ -218,14 +233,19 @@ impl EdgeStore {
 
     /// Applies one topology change serially (narrow-batch and stepped
     /// paths; the wide path goes through [`EdgeShard::apply_batch`]).
-    pub fn apply(&mut self, kind: LinkChangeKind, edge: Edge, version: u64) {
+    pub fn apply(&mut self, kind: LinkChangeKind, edge: Edge, version: u64, now: Time) {
         let s = self.shard_of(edge);
-        self.shards[s].apply(kind, edge, version, self.shard_count);
+        self.shards[s].apply(kind, edge, version, now, self.shard_count);
     }
 
     /// Marks an initial edge live at epoch 1, change-version 1.
     pub fn insert_initial(&mut self, edge: Edge) {
         let entry = self.entry(edge);
+        assert!(
+            !entry.live,
+            "edge {edge:?} already present at {:?}",
+            Time::ZERO
+        );
         entry.live = true;
         entry.epoch = 1;
         entry.versions = 1;
@@ -242,9 +262,14 @@ impl EdgeStore {
     }
 
     #[inline]
-    fn row(&self, lo: NodeId) -> &Vec<EdgeShared> {
-        let i = lo.index();
+    fn row(&self, u: NodeId) -> &Vec<EdgeShared> {
+        let i = u.index();
         &self.shards[i % self.shard_count].rows[i / self.shard_count]
+    }
+
+    fn row_mut(&mut self, u: NodeId) -> &mut Vec<EdgeShared> {
+        let i = u.index();
+        &mut self.shards[i % self.shard_count].rows[i / self.shard_count]
     }
 
     /// The canonical state of `edge`, if any contact has happened.
@@ -256,14 +281,57 @@ impl EdgeStore {
             .map(|i| &row[i])
     }
 
-    /// The canonical state of `edge`, created on first contact.
+    /// The canonical state of `edge`, created on first contact together
+    /// with its back-reference on `edge.hi()`'s row. Serial paths only
+    /// (build and pull time): the back-reference may live in another
+    /// shard.
     pub fn entry(&mut self, edge: Edge) -> &mut EdgeShared {
-        let s = self.shard_of(edge);
-        let shard_count = self.shard_count;
-        self.shards[s].entry(edge, shard_count)
+        let (lo, hi) = edge.endpoints();
+        let i = match self.row(lo).binary_search_by_key(&hi, |e| e.neighbor) {
+            Ok(i) => i,
+            Err(i) => {
+                let back = self.row_mut(hi);
+                let j = back
+                    .binary_search_by_key(&lo, |e| e.neighbor)
+                    .expect_err("a back-reference implies a canonical entry");
+                back.insert(j, EdgeShared::new(lo));
+                self.row_mut(lo).insert(i, EdgeShared::new(hi));
+                i
+            }
+        };
+        &mut self.row_mut(lo)[i]
     }
 
-    /// Heap bytes of the canonical edge state (topology plane meter).
+    /// The live edges at `u`, as `(neighbour, canonical entry)` in
+    /// ascending neighbour order. Liveness of an edge to a lower
+    /// neighbour is read through the back-reference from that
+    /// neighbour's row.
+    pub fn live_at(&self, u: NodeId) -> impl Iterator<Item = (NodeId, &EdgeShared)> + '_ {
+        self.row(u).iter().filter_map(move |e| {
+            let canonical = if e.neighbor < u {
+                self.find(Edge::new(e.neighbor, u))
+                    .expect("a back-reference implies a canonical entry")
+            } else {
+                e
+            };
+            canonical.live.then_some((e.neighbor, canonical))
+        })
+    }
+
+    /// Every live edge, in ascending [`Edge`] order (lower endpoint, then
+    /// higher).
+    pub fn live_edges(&self) -> impl Iterator<Item = Edge> + '_ {
+        (0..self.n).flat_map(move |i| {
+            let u = NodeId::from_index(i);
+            self.row(u)
+                .iter()
+                .filter(move |e| e.neighbor > u && e.live)
+                .map(move |e| Edge::new(u, e.neighbor))
+        })
+    }
+
+    /// Heap bytes of the canonical edge state and the back-references
+    /// (topology plane meter).
     /// Batch buffers are scratch, metered by
     /// [`scratch_bytes`](Self::scratch_bytes) instead.
     pub fn heap_bytes(&self) -> usize {
@@ -804,26 +872,29 @@ mod tests {
     #[test]
     fn edge_shard_batch_apply_matches_serial() {
         let changes = [
-            (LinkChangeKind::Added, Edge::between(0, 1), 2),
+            (LinkChangeKind::Removed, Edge::between(0, 1), 2),
             (LinkChangeKind::Added, Edge::between(2, 5), 1),
-            (LinkChangeKind::Removed, Edge::between(0, 1), 3),
-            (LinkChangeKind::Added, Edge::between(0, 1), 4),
+            (LinkChangeKind::Added, Edge::between(0, 1), 3),
             (LinkChangeKind::Removed, Edge::between(2, 5), 2),
         ];
+        let now = Time::new(1.0);
         let mut serial = EdgeStore::new(6, 2);
         let mut batched = EdgeStore::new(6, 2);
         for store in [&mut serial, &mut batched] {
             store.insert_initial(Edge::between(0, 1));
+            for &(_, edge, _) in &changes {
+                store.next_version(edge);
+            }
         }
         for &(kind, edge, version) in &changes {
-            serial.apply(kind, edge, version);
+            serial.apply(kind, edge, version, now);
         }
         for &(kind, edge, version) in &changes {
             let s = batched.shard_of(edge);
             batched.shards[s].batch.push((kind, edge, version));
         }
         for s in &mut batched.shards {
-            s.apply_batch(2);
+            s.apply_batch(now, 2);
         }
         for e in [Edge::between(0, 1), Edge::between(2, 5)] {
             let a = serial.find(e).expect("serial entry");

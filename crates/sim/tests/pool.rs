@@ -5,8 +5,8 @@
 //! observable contract is (a) workers spawn once and are reused across
 //! `run_until` calls, (b) dropping a simulator never hangs, (c) a panic
 //! inside a shard worker fails the run loudly with the original payload,
-//! and (d) no combination of thread count, parallel threshold, backend
-//! choice, or `run_until` split points ever changes the trace. The last
+//! and (d) no combination of thread count, parallel threshold or
+//! `run_until` split points ever changes the trace. The last
 //! point is also covered at scale by `crates/bench/tests/determinism.rs`;
 //! here a proptest sweeps random small configurations.
 
@@ -96,25 +96,18 @@ fn churn_schedule(n: usize) -> TopologySchedule {
     TopologySchedule::new(n, generators::ring(n), events)
 }
 
-fn gossip_sim(
-    n: usize,
-    threads: usize,
-    par_min: usize,
-    pool: bool,
-    seed: u64,
-) -> Simulator<Gossip> {
+fn gossip_sim(n: usize, threads: usize, par_min: usize, seed: u64) -> Simulator<Gossip> {
     SimBuilder::topology(params(), ScheduleSource::new(churn_schedule(n)))
         .delay(DelayStrategy::Max)
         .seed(seed)
         .threads(threads)
         .par_threshold(par_min)
-        .persistent_pool(pool)
         .build_with(|i| Gossip::new(i as f64))
 }
 
 #[test]
 fn pool_spawns_once_and_is_reused_across_runs() {
-    let mut sim = gossip_sim(32, 4, 1, true, 7);
+    let mut sim = gossip_sim(32, 4, 1, 7);
     // `on_start` dispatch at build time is serial: no pool yet.
     assert_eq!(sim.pool_workers(), 0);
     assert_eq!(sim.pool_spawns(), 0);
@@ -143,7 +136,7 @@ fn pool_spawns_once_and_is_reused_across_runs() {
 
 #[test]
 fn dropping_a_simulator_mid_run_joins_workers() {
-    let mut sim = gossip_sim(24, 4, 1, true, 11);
+    let mut sim = gossip_sim(24, 4, 1, 11);
     sim.run_until(at(0.6));
     assert!(sim.pool_workers() > 0, "pool must be live before the drop");
     drop(sim); // must join all workers and return — a hang fails via test timeout
@@ -182,41 +175,13 @@ fn worker_panic_fails_the_run_loudly() {
 }
 
 #[test]
-fn fork_join_backend_stays_poolless_and_trace_identical() {
-    let mut pooled = gossip_sim(32, 4, 1, true, 7);
-    let mut forked = gossip_sim(32, 4, 1, false, 7);
-    pooled.run_until(at(4.0));
-    forked.run_until(at(4.0));
-
-    assert_eq!(
-        forked.pool_workers(),
-        0,
-        "fork/join path never spawns a pool"
-    );
-    assert_eq!(forked.pool_spawns(), 0);
-    assert!(
-        forked.stats().segments_parallel > 0,
-        "still ran parallel segments"
-    );
-
-    let (a, b) = (pooled.logical_snapshot(), forked.logical_snapshot());
-    for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-        assert!(
-            x.to_bits() == y.to_bits(),
-            "node {i}: pool {x:?} vs fork/join {y:?}"
-        );
-    }
-    assert_eq!(pooled.stats(), forked.stats());
-}
-
-#[test]
 fn par_threshold_is_recorded_in_stats() {
-    let sim = gossip_sim(8, 2, 7, true, 1);
+    let sim = gossip_sim(8, 2, 7, 1);
     assert_eq!(sim.stats().par_min_events, 7);
 }
 
 fn reference_trace() -> (Vec<u64>, SimStats) {
-    let mut sim = gossip_sim(24, 1, 64, true, 99);
+    let mut sim = gossip_sim(24, 1, 64, 99);
     sim.run_until(at(4.0));
     let bits = sim.logical_snapshot().iter().map(|x| x.to_bits()).collect();
     (bits, *sim.stats())
@@ -225,18 +190,17 @@ fn reference_trace() -> (Vec<u64>, SimStats) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random thread counts, parallel thresholds, backend choices, and
-    /// `run_until` split points never change the trace or the
+    /// Random thread counts, parallel thresholds and `run_until` split
+    /// points never change the trace or the
     /// trace-relevant counters.
     #[test]
     fn random_boundaries_never_change_the_trace(
         threads in 1usize..9,
         par_min in 1usize..96,
-        pool in any::<bool>(),
         cuts in prop::collection::vec(0.0f64..4.0, 0..4),
     ) {
         let (ref_bits, ref_stats) = reference_trace();
-        let mut sim = gossip_sim(24, threads, par_min, pool, 99);
+        let mut sim = gossip_sim(24, threads, par_min, 99);
         let mut cuts = cuts;
         cuts.sort_by(f64::total_cmp);
         for c in cuts {

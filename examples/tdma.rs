@@ -84,7 +84,7 @@ impl Scenario for Tdma {
             sim.run_until(at(t));
             let clocks = sim.logical_snapshot();
             peak_global_skew = peak_global_skew.max(metrics::global_skew(&clocks));
-            for e in sim.graph().edges() {
+            for e in sim.edges() {
                 let skew = (clocks[e.lo().index()] - clocks[e.hi().index()]).abs();
                 peak_neighbor_skew = peak_neighbor_skew.max(skew);
                 // Neighbors sharing a slot index always clash — that is a
